@@ -7,8 +7,8 @@
 //	qfix-bench -fig fig9 -scale large -reps 5 -seed 7
 //
 // Output is one aligned text table per figure, with the same series the
-// paper plots (latency plus precision/recall/F1). See EXPERIMENTS.md for
-// the recorded paper-vs-measured comparison at the default scale.
+// paper plots (latency plus precision/recall/F1). The README's
+// Benchmarks section describes every experiment.
 package main
 
 import (

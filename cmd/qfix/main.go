@@ -54,7 +54,6 @@ func main() {
 		noPre     = flag.Bool("no-presolve", false, "disable the MILP root presolve (ablation)")
 		verbose   = flag.Bool("v", false, "print solver statistics (nodes, LP iterations, refactorizations, presolved rows)")
 		workers   = flag.String("workers", "", "comma-separated qfix-worker addresses (host:port,...) for distributed diagnosis")
-		mux       = flag.Bool("mux", false, "multiplex jobs over one persistent connection per worker (wire v3) instead of dialing per job")
 		noTuple   = flag.Bool("no-tuple-slicing", false, "disable tuple slicing")
 		noQuery   = flag.Bool("no-query-slicing", false, "disable query slicing")
 		attrSlice = flag.Bool("attr-slicing", false, "enable attribute slicing")
@@ -129,10 +128,6 @@ func main() {
 				opts.Workers = append(opts.Workers, addr)
 			}
 		}
-	}
-	opts.MuxWorkers = *mux
-	if *mux && len(opts.Workers) == 0 {
-		fmt.Fprintln(os.Stderr, "qfix: -mux has no effect without -workers; diagnosing locally")
 	}
 	if *verbose {
 		// Same log.Printf sink qfix-worker uses, so coordinator warnings

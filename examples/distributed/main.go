@@ -8,14 +8,9 @@
 // each one over the versioned wire protocol, and merges the returned
 // repairs through the engine's replay-verification path. The final
 // repair is identical to the local run; Stats.RemoteJobs records how
-// much of the solving left the process.
-//
-// The fleet is exercised twice: once dialing a fresh connection per job
-// (the wire-v2 discipline) and once with Options.MuxWorkers, which
-// keeps one persistent multiplexed connection per worker and streams
-// each result back the moment its solve lands
-// (Stats.StreamedResults) — the wire-v3 discipline `qfix -mux` enables
-// from the CLI. All three runs produce the identical repair.
+// much of the solving left the process. The coordinator keeps one
+// persistent multiplexed connection per worker and streams each result
+// back the moment its solve lands (Stats.StreamedResults).
 //
 // In production the two goroutines are `qfix-worker -addr :7433` style
 // processes on other machines and Options.Workers lists their addresses.
@@ -99,20 +94,16 @@ func main() {
 
 	local := run("local", opts)
 
-	distOpts := opts
-	distOpts.Workers = workers // qfix.Diagnose installs the coordinator
-	remote := run("dial-per-job", distOpts)
+	fleetOpts := opts
+	fleetOpts.Workers = workers // qfix.Diagnose installs the coordinator
+	remote := run("fleet", fleetOpts)
 
-	muxOpts := distOpts
-	muxOpts.MuxWorkers = true // one persistent multiplexed connection per worker
-	muxed := run("mux", muxOpts)
-
-	fmt.Println("\nrepaired history (mux):")
-	for i, q := range muxed.Log {
+	fmt.Println("\nrepaired history (fleet):")
+	for i, q := range remote.Log {
 		fmt.Printf("  q%d: %s\n", i+1, q.String(sch))
 	}
-	if qfix.Distance(local.Log, remote.Log) == 0 && qfix.Distance(local.Log, muxed.Log) == 0 {
-		fmt.Println("\ndial-per-job and mux repairs are identical to the local repair ✓")
+	if qfix.Distance(local.Log, remote.Log) == 0 {
+		fmt.Println("\nfleet repair is identical to the local repair ✓")
 	} else {
 		fmt.Println("\nWARNING: distributed and local repairs differ")
 	}

@@ -194,10 +194,10 @@ func TestDistributedQuickShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3 (local + dial + mux at one cluster count)", len(table.Rows))
+	if len(table.Rows) != 2 {
+		t.Fatalf("rows = %d, want 2 (local + mux at one cluster count)", len(table.Rows))
 	}
-	var localRow, dialRow, muxRow *Row
+	var localRow, muxRow *Row
 	for i := range table.Rows {
 		row := &table.Rows[i]
 		if row.Solved < 1 {
@@ -206,33 +206,25 @@ func TestDistributedQuickShape(t *testing.T) {
 		switch row.Series {
 		case "local-4":
 			localRow = row
-		case "dial-2":
-			dialRow = row
 		case "mux-2":
 			muxRow = row
 		}
 	}
-	if localRow == nil || dialRow == nil || muxRow == nil {
-		t.Fatal("missing local-4, dial-2, or mux-2 series")
+	if localRow == nil || muxRow == nil {
+		t.Fatal("missing local-4 or mux-2 series")
 	}
-	// Distribution must not change the repair: identical accuracy on
-	// both transports.
-	for _, distRow := range []*Row{dialRow, muxRow} {
-		if distRow.F1 != localRow.F1 || distRow.Precision != localRow.Precision {
-			t.Errorf("%s accuracy diverged from local: f1 %v vs %v, precision %v vs %v",
-				distRow.Series, distRow.F1, localRow.F1, distRow.Precision, localRow.Precision)
-		}
-		if !strings.Contains(distRow.Note, "remote=") || strings.Contains(distRow.Note, "remote=0/") {
-			t.Errorf("%s did not solve remotely: note=%q", distRow.Series, distRow.Note)
-		}
+	// Distribution must not change the repair: identical accuracy.
+	if muxRow.F1 != localRow.F1 || muxRow.Precision != localRow.Precision {
+		t.Errorf("mux-2 accuracy diverged from local: f1 %v vs %v, precision %v vs %v",
+			muxRow.F1, localRow.F1, muxRow.Precision, localRow.Precision)
 	}
-	// The mux series must actually stream its results back over the
+	if !strings.Contains(muxRow.Note, "remote=") || strings.Contains(muxRow.Note, "remote=0/") {
+		t.Errorf("mux-2 did not solve remotely: note=%q", muxRow.Note)
+	}
+	// The fleet must actually stream its results back over the
 	// persistent connections.
 	if !strings.Contains(muxRow.Note, "streamed") {
 		t.Errorf("mux-2 streamed nothing: note=%q", muxRow.Note)
-	}
-	if strings.Contains(dialRow.Note, "streamed") {
-		t.Errorf("dial-2 claims streamed results: note=%q", dialRow.Note)
 	}
 }
 

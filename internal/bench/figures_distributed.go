@@ -11,14 +11,11 @@ import (
 // FigDistributed measures the coordinator/worker subsystem against local
 // partitioned diagnosis on the independent-cluster workloads: the same
 // partition plan, but every subproblem serialized and shipped to a
-// loopback-TCP worker fleet instead of the in-process pool — once over
-// the historical dial-per-job transport (dial-2) and once over
-// persistent multiplexed connections with streamed results (mux-2).
-// Every series must match the local series' Resolved outcome exactly
-// (the coordinator merges through the same verification path); the
-// dial-vs-mux gap is the per-job connection setup the mux protocol
-// deletes, which grows with the cluster count since every partition is
-// one job.
+// loopback-TCP worker fleet over persistent multiplexed connections
+// with streamed results (mux-2) instead of the in-process pool
+// (local-4). The fleet series must match the local series' Resolved
+// outcome exactly (the coordinator merges through the same verification
+// path); the gap between them is the price of the wire protocol.
 func (r *Runner) FigDistributed() (*Table, error) {
 	var clusterCounts []int
 	var rowsPer, queriesPer int
@@ -33,8 +30,8 @@ func (r *Runner) FigDistributed() (*Table, error) {
 	t := &Table{ID: "distributed", Title: "distributed diagnosis: local partitioned vs loopback worker fleet",
 		XLabel: "clusters",
 		Caption: fmt.Sprintf("rows/cluster=%d queries/cluster=%d; one corrupted query per cluster; "+
-			"dial-2 dials one of 2 qfix-worker processes per job (loopback TCP); "+
-			"mux-2 multiplexes jobs over one persistent connection per worker, streaming results",
+			"mux-2 multiplexes jobs over one persistent loopback-TCP connection to each of "+
+			"2 qfix-worker processes, streaming results",
 			rowsPer, queriesPer)}
 
 	// Two real workers on loopback: the full serialize → TCP → solve →
@@ -48,11 +45,9 @@ func (r *Runner) FigDistributed() (*Table, error) {
 	series := []struct {
 		name string
 		dist bool
-		mux  bool
 	}{
-		{"local-4", false, false},
-		{"dial-2", true, false},
-		{"mux-2", true, true},
+		{"local-4", false},
+		{"mux-2", true},
 	}
 	for _, nc := range clusterCounts {
 		for _, s := range series {
@@ -64,7 +59,7 @@ func (r *Runner) FigDistributed() (*Table, error) {
 			}
 			var coord *dist.Coordinator
 			if s.dist {
-				coord = dist.Connect(dist.Config{Mux: s.mux}, workers...)
+				coord = dist.Connect(dist.Config{}, workers...)
 				opts.PartitionSolver = coord
 			}
 			var pts []point

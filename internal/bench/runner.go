@@ -6,8 +6,8 @@
 //
 // Scales: the paper evaluates on CPLEX, which is orders of magnitude
 // faster than this repository's stdlib-only MILP solver, so the default
-// scale shrinks ND/Nq proportionally (documented per experiment in
-// EXPERIMENTS.md). The shape of every result — which algorithm wins,
+// scale shrinks ND/Nq proportionally (each driver sets its own sizes
+// per scale). The shape of every result — which algorithm wins,
 // where basic collapses, how slicing scales — is preserved; absolute
 // numbers are not comparable.
 package bench
@@ -29,7 +29,7 @@ const (
 	// Quick: smallest meaningful sizes; seconds per figure. Used by
 	// `go test -bench` smoke benchmarks.
 	Quick Scale = iota
-	// Default: the EXPERIMENTS.md sizes; minutes for the full suite.
+	// Default: mid-size runs; minutes for the full suite.
 	Default
 	// Large: closest to the paper that remains tractable without CPLEX.
 	Large

@@ -23,6 +23,12 @@ func Diagnose(d0 *relation.Table, log []query.Query, complaints []Complaint, opt
 		return nil, fmt.Errorf("core: empty query log")
 	}
 	width := d0.Schema().Width()
+	for _, c := range complaints {
+		if c.Exists && len(c.Values) != width {
+			return nil, fmt.Errorf("core: complaint on tuple %d has %d values, schema width %d",
+				c.TupleID, len(c.Values), width)
+		}
+	}
 
 	span := opt.Trace.Start("diagnose")
 	span.SetAttr("algorithm", opt.Algorithm.String())

@@ -126,14 +126,6 @@ type Options struct {
 	// PartitionSolver. Kept here so Options stays the single
 	// configuration surface.
 	Workers []string
-	// MuxWorkers makes the Workers coordinator keep one persistent
-	// multiplexed connection per worker (wire v3) instead of dialing a
-	// fresh connection per job: concurrent partition jobs share the
-	// connection and results stream back as each solve lands
-	// (Stats.StreamedResults). Workers built one protocol generation
-	// back are negotiated down to the dial-per-job path automatically.
-	// Like Workers, opaque to the core engine.
-	MuxWorkers bool
 
 	// ImpactCache, when non-nil, caches FullImpact closures across
 	// diagnoses keyed by a digest of the log (impactcache.go). Repeat
@@ -227,7 +219,7 @@ type Options struct {
 	// the wire protocol.
 	Logf func(format string, args ...any)
 
-	// Ablation switches (extensions beyond the paper; see DESIGN.md):
+	// Ablation switches (extensions beyond the paper):
 	// NoFolding disables the encoder's constant-folding presolve,
 	// NoParamWindows disables predicate-parameter window tightening,
 	// ColdLP disables warm-started LP relaxations in branch-and-bound,
@@ -285,9 +277,9 @@ type Stats struct {
 	// to the local engine are not counted.
 	RemoteJobs int
 	// StreamedResults counts the subset of RemoteJobs whose result
-	// streamed back over a persistent multiplexed worker connection
-	// (Options.MuxWorkers, wire v3) — written by the worker the moment
-	// the solve landed rather than over a per-job dialed connection.
+	// streamed back over a worker's persistent multiplexed connection —
+	// written by the worker the moment the solve landed rather than
+	// over the one-shot connection a job rides while that link is down.
 	StreamedResults int
 	// ImpactCacheHits counts planning passes that reused a cached
 	// FullImpact closure (Options.ImpactCache) instead of computing one

@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"context"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 )
@@ -92,5 +94,44 @@ func TestMuxTransportArmsJitteredBackoff(t *testing.T) {
 		if gotDelay < d || gotDelay > d+time.Second {
 			t.Fatalf("failures=%d: armed delay ~%v, want %v", failures, gotDelay, d)
 		}
+	}
+}
+
+// While the persistent connection backs off, a job must still reach
+// the worker over a one-shot connection — so a restarted worker serves
+// again immediately — without re-dialing the mux link early.
+func TestMuxOneShotWhileBackingOff(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &Server{}
+	go srv.Serve(l)
+	defer srv.Close()
+
+	tr := DialMux(l.Addr().String())
+	defer tr.Close()
+	tr.mu.Lock()
+	tr.nextDial = time.Now().Add(time.Hour)
+	tr.mu.Unlock()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	// An empty job is answered with a decode error: enough to prove the
+	// round trip.
+	res, err := tr.Do(ctx, &Job{Version: WireVersion, ID: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ID != 7 || res.Err == "" {
+		t.Errorf("result = id %d err %q, want id 7 with a decode error", res.ID, res.Err)
+	}
+	if res.Stats.StreamedResults != 0 {
+		t.Error("one-shot result marked as streamed")
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if tr.conn != nil {
+		t.Error("persistent connection dialed during backoff")
 	}
 }

@@ -29,13 +29,7 @@ type Config struct {
 	// retries; zero picks one retry per remaining worker, capped at
 	// len(workers)-1.
 	Retries int
-	// Mux keeps one persistent multiplexed connection per worker (wire
-	// v3, MuxTransport) instead of dialing a fresh connection per job:
-	// concurrent jobs share the connection, results stream back as each
-	// solve lands (Stats.StreamedResults), and workers still speaking
-	// wire v2 are negotiated down to the dial-per-job path on their
-	// first frame. Only Connect consults it; explicit transports passed
-	// to NewCoordinator choose for themselves.
+	// Deprecated: ignored; every fleet connection is multiplexed.
 	Mux bool
 	// Logf, when set, receives one line per dispatch failure/fallback.
 	Logf func(format string, args ...any)
@@ -56,8 +50,8 @@ const DefaultJobTimeout = 5 * time.Minute
 // starts partitions largest-first (see core's planPartitions size
 // estimate), so the coordinator ships the biggest MILPs to the fleet
 // first and the critical path is not a huge partition stuck at the back
-// of the queue; with Config.Mux the per-partition results stream back
-// over persistent connections as each solve lands.
+// of the queue, and the per-partition results stream back over
+// persistent connections as each solve lands.
 type Coordinator struct {
 	cfg        Config
 	transports []Transport
@@ -112,17 +106,12 @@ func NewCoordinator(cfg Config, transports ...Transport) *Coordinator {
 	return &Coordinator{cfg: cfg, transports: transports}
 }
 
-// Connect builds a coordinator with one transport per worker address:
-// persistent multiplexed connections with cfg.Mux, one dialed
-// connection per job otherwise.
+// Connect builds a coordinator with one persistent multiplexed
+// transport (DialMux) per worker address.
 func Connect(cfg Config, workers ...string) *Coordinator {
 	ts := make([]Transport, len(workers))
 	for i, addr := range workers {
-		if cfg.Mux {
-			ts[i] = DialMux(addr)
-		} else {
-			ts[i] = Dial(addr)
-		}
+		ts[i] = DialMux(addr)
 	}
 	return NewCoordinator(cfg, ts...)
 }
@@ -309,7 +298,7 @@ func (c *Coordinator) dispatch(job *Job, deadline time.Time, sp *obs.Span) (*cor
 				budgetLeft(deadline), err)
 			continue
 		}
-		rep, err := DecodeResult(res)
+		rep, err := DecodeResult(res, len(job.D0.Attrs))
 		if err != nil {
 			// Version mismatch or a worker-side solve error. A solve
 			// error would hit the local engine too, but the local
@@ -457,13 +446,12 @@ func (c *Coordinator) Diagnose(d0 *relation.Table, log []query.Query,
 // DiagnoseWorkers runs one diagnosis with a throwaway coordinator over
 // the given worker addresses — the Options.Workers bootstrap shared by
 // qfix.Diagnose and histstore.Store.Diagnose, kept here so every entry
-// point configures the fleet identically. Options.MuxWorkers selects
-// persistent multiplexed connections (note the connections then live
-// only for this one diagnosis; callers that diagnose repeatedly should
-// hold a Connect'ed coordinator instead to amortize them).
+// point configures the fleet identically. The multiplexed connections
+// live only for this one diagnosis; callers that diagnose repeatedly
+// should hold a Connect'ed coordinator instead to amortize them.
 func DiagnoseWorkers(workers []string, d0 *relation.Table, log []query.Query,
 	complaints []core.Complaint, opt core.Options) (*core.Repair, error) {
-	coord := Connect(Config{Mux: opt.MuxWorkers, Logf: opt.Logf}, workers...)
+	coord := Connect(Config{Logf: opt.Logf}, workers...)
 	defer coord.Close()
 	return coord.Diagnose(d0, log, complaints, opt)
 }

@@ -158,16 +158,19 @@ func TestDistributedInProcMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestDistributedLoopbackTCP is the end-to-end acceptance check: two
-// real workers on loopback TCP, the partition bench workload, and a
-// repair byte-identical to local partitioned diagnosis.
+// TestDistributedLoopbackTCP is the end-to-end acceptance check for the
+// Options.Workers bootstrap (DiagnoseWorkers, behind qfix.Diagnose and
+// histstore): two real workers on loopback TCP, the partition bench
+// workload, a repair byte-identical to local partitioned diagnosis, and
+// every result streamed over the multiplexed connections.
 func TestDistributedLoopbackTCP(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 4)
 	want := localReference(t, d0, log, complaints)
 
-	coord := dist.Connect(dist.Config{Logf: t.Logf}, startWorker(t), startWorker(t))
-	defer coord.Close()
-	got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
+	opts := partitionOpts()
+	opts.Logf = t.Logf
+	got, err := dist.DiagnoseWorkers([]string{startWorker(t), startWorker(t)},
+		d0, log, complaints, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +185,10 @@ func TestDistributedLoopbackTCP(t *testing.T) {
 		t.Errorf("Stats.RemoteJobs = %d, want 4 (healthy fleet solves everything remotely)",
 			got.Stats.RemoteJobs)
 	}
+	if got.Stats.StreamedResults != got.Stats.RemoteJobs {
+		t.Errorf("Stats.StreamedResults = %d, want %d (the fleet is always multiplexed)",
+			got.Stats.StreamedResults, got.Stats.RemoteJobs)
+	}
 	// The coordinator plans once; each worker plans its own job once.
 	if got.Stats.PlanPasses != 1+got.Stats.RemoteJobs {
 		t.Errorf("Stats.PlanPasses = %d, want %d (1 local + 1 per remote job)",
@@ -190,7 +197,9 @@ func TestDistributedLoopbackTCP(t *testing.T) {
 }
 
 // TestDistributedWorkerKilledMidRun kills one of two workers mid-solve
-// (it reads each job, then drops the connection). Retry moves the job to
+// (it reads each job, then drops the connection). Jobs in flight on the
+// broken connection — and those that then ride one-shot connections to
+// it while the link backs off — fail as transport errors and retry on
 // the healthy worker, so the repair must still be byte-identical to the
 // local reference and nothing may be lost.
 func TestDistributedWorkerKilledMidRun(t *testing.T) {

@@ -21,8 +21,8 @@ import (
 // de-synchronizes the fleet. It is seeded per-transport from the worker
 // address, so a given transport's schedule is reproducible (tests pin
 // it) while distinct workers never share one. Jobs that arrive while
-// the persistent connection is down are not delayed and not lost: they
-// fall back to one dialed connection per job, so a recovering worker
+// the persistent connection is down are not delayed and not lost: each
+// rides its own one-shot connection (dialOnce), so a recovering worker
 // keeps serving the fleet while the mux link heals.
 const (
 	muxBackoffBase   = 250 * time.Millisecond
@@ -66,16 +66,16 @@ const muxWriteTimeout = time.Minute
 
 // errMuxDown marks a job that never reached the persistent connection
 // (dial failed, backoff in force, or transport closed): the attempt is
-// still fresh and may be retried on the per-job path.
+// still fresh and may be spent on a one-shot connection instead.
 var errMuxDown = errors.New("dist: persistent connection unavailable")
 
-// MuxTransport keeps one long-lived connection to a worker and
-// multiplexes concurrent jobs over it (wire v3): each frame carries its
-// job ID, a single reader goroutine demultiplexes result frames to the
-// in-flight callers as the worker streams them back — possibly out of
-// submission order — and the connection persists across jobs and
-// diagnoses, so the per-job dial/teardown of TCPTransport disappears
-// from the critical path.
+// MuxTransport is the fleet transport: it keeps one long-lived
+// connection to a worker and multiplexes concurrent jobs over it. Each
+// frame carries its job ID, a single reader goroutine demultiplexes
+// result frames to the in-flight callers as the worker streams them
+// back — possibly out of submission order — and the connection persists
+// across jobs and diagnoses, so no per-job dial sits on the critical
+// path.
 //
 // Failure semantics preserve the coordinator's no-lost-instances
 // guarantee:
@@ -83,18 +83,13 @@ var errMuxDown = errors.New("dist: persistent connection unavailable")
 //   - a broken connection fails every in-flight job with a transport
 //     error (the coordinator retries each on another worker and
 //     ultimately solves locally) and arms a reconnect backoff;
-//   - while the persistent connection is down, jobs fall back to
-//     dial-per-job against the same worker instead of erroring, so a
-//     restarted worker serves again immediately and the mux link is
-//     re-dialed once the backoff expires;
-//   - a worker speaking the previous protocol generation (wire v2) is
-//     detected on its first rejected frame and served one dialed v2
-//     connection per job from then on, the rejected job retried
-//     immediately.
+//   - while the persistent connection is down, each job is sent over
+//     its own one-shot connection to the same worker instead of
+//     erroring, so a restarted worker serves again immediately and the
+//     mux link is re-dialed once the backoff expires.
 type MuxTransport struct {
-	addr    string
-	dialer  net.Dialer
-	oneShot *TCPTransport // dial-per-job fallback and v2 legacy path
+	addr   string
+	dialer net.Dialer
 
 	// writeMu serializes frame writes on the persistent connection. It
 	// is held only around Encode — never together with mu — so a write
@@ -121,7 +116,6 @@ type MuxTransport struct {
 func DialMux(addr string) *MuxTransport {
 	return &MuxTransport{
 		addr:    addr,
-		oneShot: Dial(addr),
 		pending: make(map[uint64]chan *Result),
 		rng:     rand.New(rand.NewSource(backoffSeed(addr))),
 	}
@@ -137,14 +131,11 @@ func (t *MuxTransport) Close() error {
 	t.closed = true
 	t.teardownLocked(t.gen)
 	t.mu.Unlock()
-	return t.oneShot.Close()
+	return nil
 }
 
 // Do implements Transport.
 func (t *MuxTransport) Do(ctx context.Context, job *Job) (*Result, error) {
-	if t.isLegacy() {
-		return t.oneShot.Do(ctx, job)
-	}
 	res, err := t.doMux(ctx, job)
 	if err != nil {
 		if !errors.Is(err, errMuxDown) {
@@ -159,38 +150,52 @@ func (t *MuxTransport) Do(ctx context.Context, job *Job) (*Result, error) {
 		}
 		// The persistent connection is down (dial failed or backing
 		// off). The job hasn't been sent anywhere yet, so spend the
-		// attempt on a per-job dial rather than failing it.
-		return t.oneShot.Do(ctx, job)
-	}
-	if versionRejected(job, res) {
-		// A v2 worker refusing our v3 frame: negotiate down for good
-		// and retry this job on the per-job path so the attempt isn't
-		// lost. TCPTransport re-stamps the job at v2 itself.
-		t.setLegacy()
-		return t.oneShot.Do(ctx, job)
+		// attempt on a one-shot connection rather than failing it.
+		return t.dialOnce(ctx, job)
 	}
 	// The result streamed back over the persistent connection; mark it
-	// so the engine's stats distinguish mux results from per-job dials.
+	// so the engine's stats distinguish mux results from one-shot ones.
 	res.Stats.StreamedResults = 1
 	return res, nil
 }
 
-// isLegacy reports whether the worker negotiated down to wire v2. The
-// one-shot transport's flag is the single source of truth (it also
-// flips it itself when a per-job frame is rejected), so the mux and
-// per-job paths can never disagree about the worker's generation.
-func (t *MuxTransport) isLegacy() bool {
-	return t.oneShot.legacy.Load()
-}
+// dialOnce runs one job over its own connection: dial, send the frame,
+// read the one result, hang up. It carries jobs while the persistent
+// connection is down or backing off. The context's deadline bounds the
+// whole round trip, and cancellation closes the connection so a hung
+// worker cannot outlive the job's budget.
+func (t *MuxTransport) dialOnce(ctx context.Context, job *Job) (*Result, error) {
+	conn, err := t.dialer.DialContext(ctx, "tcp", t.addr)
+	if err != nil {
+		return nil, fmt.Errorf("dist: dial %s: %w", t.addr, err)
+	}
+	defer conn.Close()
+	if dl, ok := ctx.Deadline(); ok {
+		if err := conn.SetDeadline(dl); err != nil {
+			return nil, err
+		}
+	}
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		select {
+		case <-ctx.Done():
+			conn.Close()
+		case <-done:
+		}
+	}()
 
-// setLegacy flips the transport to the v2 per-job path permanently.
-// The persistent connection is deliberately NOT torn down here: sibling
-// jobs still in flight on it each receive their own rejection frame (a
-// v2 worker answers every frame, serially) and retry themselves on the
-// per-job path, so nothing is failed over to a local solve just because
-// a neighbor negotiated first. The idle connection dies with Close.
-func (t *MuxTransport) setLegacy() {
-	t.oneShot.legacy.Store(true)
+	if err := json.NewEncoder(conn).Encode(job); err != nil {
+		return nil, fmt.Errorf("dist: send job to %s: %w", t.addr, err)
+	}
+	var res Result
+	if err := json.NewDecoder(conn).Decode(&res); err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, fmt.Errorf("dist: job %d on %s: %w", job.ID, t.addr, ctxErr)
+		}
+		return nil, fmt.Errorf("dist: read result from %s: %w", t.addr, err)
+	}
+	return &res, nil
 }
 
 // doMux runs one job over the persistent connection.
@@ -219,8 +224,8 @@ func (t *MuxTransport) doMux(ctx context.Context, job *Job) (*Result, error) {
 func (t *MuxTransport) submit(ctx context.Context, job *Job) (chan *Result, error) {
 	// Resolve the connection first — a cheap mutex check when it is
 	// live, and an immediate errMuxDown during an outage/backoff window
-	// so the job falls back to dial-per-job without having marshaled a
-	// frame it would only throw away.
+	// so the job falls back to a one-shot connection without having
+	// marshaled a frame it would only throw away.
 	conn, err := t.connection(ctx)
 	if err != nil {
 		return nil, err
@@ -290,7 +295,7 @@ func (t *MuxTransport) submit(ctx context.Context, job *Job) (chan *Result, erro
 // callers wait for the in-flight dial (escaping on their own context)
 // and then share its outcome, so the first wave of jobs all ride the
 // one new connection. When the reconnect backoff is in force the caller
-// gets errMuxDown and its job proceeds over the per-job path instead.
+// gets errMuxDown and its job proceeds over a one-shot connection instead.
 func (t *MuxTransport) connection(ctx context.Context) (net.Conn, error) {
 	for {
 		t.mu.Lock()

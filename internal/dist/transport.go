@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -72,19 +70,6 @@ func (InProc) Addr() string { return "inproc" }
 // Close implements Transport.
 func (InProc) Close() error { return nil }
 
-// resultVersion picks the version a result frame answers with: the
-// job's own dialect, so every sender — including one older than
-// MinWireVersion, whose job can only be rejected — can decode its
-// answer. Only frames from the future are capped at our own version
-// (we cannot speak a dialect we don't know; a newer sender accepts
-// ours, that being how it detects a downlevel worker).
-func resultVersion(jobVersion int) int {
-	if jobVersion > WireVersion {
-		return WireVersion
-	}
-	return jobVersion
-}
-
 // clampBudget bounds the subproblem's total solve budget by the
 // context deadline (for the server path, the job's attempt TTL
 // anchored at frame arrival; for InProc, the dispatch attempt's own
@@ -112,27 +97,25 @@ func clampBudget(ctx context.Context, o *core.Options) bool {
 }
 
 // solveJob is the worker-side job handler shared by the in-process
-// transport and the network server: decode (rejecting version
-// mismatches), solve on the local engine bounded by ctx, encode. With a
+// transport and the network server: decode (rejecting any version but
+// WireVersion), solve on the local engine bounded by ctx, encode. With a
 // cache, jobs carrying digests reuse the decoded D0/log of earlier
 // same-digest jobs — skipping the decode — and solve with the cache's
 // impact closure installed — skipping the FullImpact pass of planning;
 // the reuse is reported back through Stats.WorkerCacheHits. InProc
 // stays cacheless so it remains the engine-equivalent reference path.
 func solveJob(ctx context.Context, job *Job, wc *workerCache) *Result {
-	v := resultVersion(job.Version)
 	// Dead-on-arrival refusals come before the expensive decode: a job
 	// that sat in the admission queue past its attempt window (or whose
 	// context died) is refused for free, not after burning the D0/log
 	// decode inside its solve slot.
 	if !clampBudget(ctx, nil) {
-		return &Result{Version: v, ID: job.ID, Err: budgetDeadErr(ctx).Error()}
+		return &Result{Version: WireVersion, ID: job.ID, Err: budgetDeadErr(ctx).Error()}
 	}
 	key := wcKey{d0: job.D0Digest, log: job.LogDigest}
 	cached := false
 	var sub core.Subproblem
-	if wc != nil && key.d0 != 0 && key.log != 0 &&
-		job.Version >= MinWireVersion && job.Version <= WireVersion {
+	if wc != nil && key.d0 != 0 && key.log != 0 && job.Version == WireVersion {
 		if d0, lg, ok := wc.lookup(key, len(job.D0.Rows), len(job.Log)); ok {
 			sub = core.Subproblem{D0: d0, Log: lg,
 				Complaints: job.Complaints, Options: decodeOptions(job.Options)}
@@ -144,7 +127,7 @@ func solveJob(ctx context.Context, job *Job, wc *workerCache) *Result {
 		var err error
 		sub, err = DecodeJob(job)
 		if err != nil {
-			return &Result{Version: v, ID: job.ID, Err: err.Error()}
+			return &Result{Version: WireVersion, ID: job.ID, Err: err.Error()}
 		}
 		if wc != nil && key.d0 != 0 && key.log != 0 {
 			mWorkerCacheMisses.Inc()
@@ -162,7 +145,7 @@ func solveJob(ctx context.Context, job *Job, wc *workerCache) *Result {
 	// left, so a live job solves on exactly its attempt share however
 	// long it queued.
 	if !clampBudget(ctx, &sub.Options) {
-		return &Result{Version: v, ID: job.ID, Err: budgetDeadErr(ctx).Error()}
+		return &Result{Version: WireVersion, ID: job.ID, Err: budgetDeadErr(ctx).Error()}
 	}
 	rep, err := sub.SolveLocal()
 	if err == nil && cached {
@@ -170,9 +153,8 @@ func solveJob(ctx context.Context, job *Job, wc *workerCache) *Result {
 	}
 	res, encErr := EncodeResult(job.ID, rep, err)
 	if encErr != nil {
-		return &Result{Version: v, ID: job.ID, Err: encErr.Error()}
+		return &Result{Version: WireVersion, ID: job.ID, Err: encErr.Error()}
 	}
-	res.Version = v
 	return res
 }
 
@@ -186,107 +168,4 @@ func budgetDeadErr(ctx context.Context) error {
 	return context.DeadlineExceeded
 }
 
-// legacyJob shallow-copies the job restamped at the version a
-// previous-generation worker accepts. The D0/log/complaint slices are
-// shared read-only across jobs, so the copy is cheap and safe.
-func legacyJob(job *Job) *Job {
-	j := *job
-	j.Version = MinWireVersion
-	return &j
-}
-
-// versionRejected reports that a worker refused the job because it
-// speaks an older protocol WE CAN STILL SERVE: the error result is
-// stamped with the worker's own (lower) version. Current-generation
-// workers echo the job's version on every result, including genuine
-// solve errors, so only a downlevel worker can produce this shape. A
-// worker below MinWireVersion is NOT negotiation material — restamping
-// at MinWireVersion would be rejected just the same — so its rejection
-// is left to fail the attempt outright instead of arming a permanently
-// futile legacy mode.
-func versionRejected(job *Job, res *Result) bool {
-	return res.Err != "" &&
-		res.Version >= MinWireVersion && res.Version < WireVersion &&
-		job.Version > MinWireVersion
-}
-
-// TCPTransport ships jobs to one worker address, one connection per job,
-// framed as newline-delimited JSON. Per-job deadlines come from the
-// context; a worker that dies mid-solve surfaces as a read error. A
-// worker that turns out to speak the previous protocol generation is
-// negotiated down on its first rejection and served v2 frames from then
-// on — the rejected job is retried immediately so the attempt is not
-// lost.
-type TCPTransport struct {
-	addr   string
-	dialer net.Dialer
-	legacy atomic.Bool // worker negotiated down to MinWireVersion
-}
-
-// Dial returns a transport for the worker at addr ("host:port"). No
-// connection is made until the first job.
-func Dial(addr string) *TCPTransport {
-	return &TCPTransport{addr: addr}
-}
-
-// Addr implements Transport.
-func (t *TCPTransport) Addr() string { return t.addr }
-
-// Close implements Transport. Connections are per-job, so there is
-// nothing to tear down.
-func (t *TCPTransport) Close() error { return nil }
-
-// Do implements Transport.
-func (t *TCPTransport) Do(ctx context.Context, job *Job) (*Result, error) {
-	if t.legacy.Load() {
-		job = legacyJob(job)
-	}
-	res, err := t.do(ctx, job)
-	if err == nil && versionRejected(job, res) {
-		t.legacy.Store(true)
-		return t.do(ctx, legacyJob(job))
-	}
-	return res, err
-}
-
-// do runs one dial-solve-read round trip.
-func (t *TCPTransport) do(ctx context.Context, job *Job) (*Result, error) {
-	conn, err := t.dialer.DialContext(ctx, "tcp", t.addr)
-	if err != nil {
-		return nil, fmt.Errorf("dist: dial %s: %w", t.addr, err)
-	}
-	defer conn.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		if err := conn.SetDeadline(dl); err != nil {
-			return nil, err
-		}
-	}
-	// Close the connection when the context is canceled so a hung worker
-	// cannot outlive its job budget.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-done:
-		}
-	}()
-
-	if err := json.NewEncoder(conn).Encode(job); err != nil {
-		return nil, fmt.Errorf("dist: send job to %s: %w", t.addr, err)
-	}
-	var res Result
-	if err := json.NewDecoder(conn).Decode(&res); err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, fmt.Errorf("dist: job %d on %s: %w", job.ID, t.addr, ctxErr)
-		}
-		return nil, fmt.Errorf("dist: read result from %s: %w", t.addr, err)
-	}
-	return &res, nil
-}
-
-var (
-	_ Transport = InProc{}
-	_ Transport = (*TCPTransport)(nil)
-)
+var _ Transport = InProc{}

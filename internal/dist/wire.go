@@ -10,12 +10,11 @@
 // or times out mid-solve falls back to the local engine — distribution
 // never loses an instance local diagnosis can solve.
 //
-// Three transports implement the Transport interface: InProc (the
+// Two transports implement the Transport interface: InProc (the
 // degenerate zero-network case, used by tests and as a harness for the
-// codec round trip), TCP (newline-delimited JSON frames, one connection
-// per job, deadline-bounded), and Mux (one persistent connection per
-// worker carrying many concurrent jobs, results demultiplexed by job ID
-// as they stream back).
+// codec round trip) and Mux, the fleet transport (one persistent
+// connection per worker carrying many concurrent newline-delimited JSON
+// frames, results demultiplexed by job ID as they stream back).
 package dist
 
 import (
@@ -27,27 +26,19 @@ import (
 	"repro/internal/relation"
 )
 
-// WireVersion is the current protocol version; MinWireVersion is the
-// oldest version this binary still speaks. A worker rejects jobs
-// outside [MinWireVersion, WireVersion] and answers in the job's own
-// dialect (the result echoes the job's version), so mixed fleets keep
-// working across one protocol generation. Bump WireVersion on any
-// incompatible change to the frame types below; raise MinWireVersion
-// only when dropping a generation is acceptable.
+// WireVersion is the protocol version, and the only one this binary
+// speaks: workers reject jobs, and coordinators results, stamped with
+// any other. Coordinators and workers ship from one module, so a fleet
+// never mixes generations. Bump it on any incompatible change to the
+// frame types below.
 //
-// v2 added the D0/log digests (worker-side decode caching) and the
-// cache-hit counters carried back in Result.Stats. v3 is the
-// multiplexed persistent-connection protocol: a connection may carry
-// any number of concurrent in-flight jobs, and the worker streams each
-// result frame as its solve lands — possibly out of submission order,
-// matched to its job by ID. The frame shapes are unchanged from v2;
-// the version tags the connection discipline. A v3 coordinator that
-// sees its first frame rejected by a v2 worker negotiates down and
-// serves that worker one dialed connection per job, exactly as v2 did.
-const (
-	WireVersion    = 3
-	MinWireVersion = 2
-)
+// v3 is the multiplexed persistent-connection protocol: a connection
+// may carry any number of concurrent in-flight jobs, and the worker
+// streams each result frame as its solve lands — possibly out of
+// submission order, matched to its job by ID. Jobs carry D0/log
+// digests for worker-side decode caching, and results carry the
+// cache-hit counters back in Result.Stats.
+const WireVersion = 3
 
 // Job is one partition subproblem on the wire. It is self-contained:
 // the worker needs nothing but the job to solve it.
@@ -74,8 +65,7 @@ type Job struct {
 	// socket buffers while the saturated worker isn't reading) is
 	// uncounted by design — the blocking read loop is the backpressure
 	// that keeps unread frames on the coordinator's side, bounded by
-	// its write deadline. Advisory: correctness never depends on it,
-	// and v2 workers ignore the field.
+	// its write deadline. Advisory: correctness never depends on it.
 	AttemptTTLNS int64            `json:"attempt_ttl_ns,omitempty"`
 	D0           wireTable        `json:"d0"`
 	Log          []wireQuery      `json:"log"`
@@ -148,8 +138,22 @@ func encodeExpr(e query.LinExpr) wireExpr {
 	return wireExpr{Terms: append([]query.Term(nil), e.Terms...), Const: e.Const}
 }
 
-func decodeExpr(w wireExpr) query.LinExpr {
-	return query.NewLinExpr(w.Const, w.Terms...)
+func decodeExpr(w wireExpr, width int) (query.LinExpr, error) {
+	for _, t := range w.Terms {
+		if err := checkAttr(t.Attr, width); err != nil {
+			return query.LinExpr{}, err
+		}
+	}
+	return query.NewLinExpr(w.Const, w.Terms...), nil
+}
+
+// checkAttr rejects an attribute index outside a width-attribute
+// schema: replay and encode index tuple values by it unchecked.
+func checkAttr(attr, width int) error {
+	if attr < 0 || attr >= width {
+		return fmt.Errorf("dist: attribute index %d outside schema width %d", attr, width)
+	}
+	return nil
 }
 
 // wireCond serializes the WHERE-condition tree.
@@ -196,7 +200,7 @@ func encodeConds(kids []query.Cond) ([]wireCond, error) {
 	return out, nil
 }
 
-func decodeCond(w *wireCond) (query.Cond, error) {
+func decodeCond(w *wireCond, width int) (query.Cond, error) {
 	if w == nil {
 		return query.True{}, nil
 	}
@@ -211,15 +215,19 @@ func decodeCond(w *wireCond) (query.Cond, error) {
 		if err != nil {
 			return nil, err
 		}
-		return query.NewPred(decodeExpr(*w.LHS), op, w.RHS), nil
+		lhs, err := decodeExpr(*w.LHS, width)
+		if err != nil {
+			return nil, err
+		}
+		return query.NewPred(lhs, op, w.RHS), nil
 	case "and":
-		kids, err := decodeConds(w.Kids)
+		kids, err := decodeConds(w.Kids, width)
 		if err != nil {
 			return nil, err
 		}
 		return query.NewAnd(kids...), nil
 	case "or":
-		kids, err := decodeConds(w.Kids)
+		kids, err := decodeConds(w.Kids, width)
 		if err != nil {
 			return nil, err
 		}
@@ -228,10 +236,10 @@ func decodeCond(w *wireCond) (query.Cond, error) {
 	return nil, fmt.Errorf("dist: unknown condition op %q", w.Op)
 }
 
-func decodeConds(ws []wireCond) ([]query.Cond, error) {
+func decodeConds(ws []wireCond, width int) ([]query.Cond, error) {
 	out := make([]query.Cond, len(ws))
 	for i := range ws {
-		k, err := decodeCond(&ws[i])
+		k, err := decodeCond(&ws[i], width)
 		if err != nil {
 			return nil, err
 		}
@@ -273,14 +281,23 @@ func encodeQuery(q query.Query) (wireQuery, error) {
 	return wireQuery{}, fmt.Errorf("dist: unsupported query type %T", q)
 }
 
-func decodeQuery(w wireQuery) (query.Query, error) {
+// decodeQuery reconstructs one query against a width-attribute schema,
+// rejecting SET and term attribute indexes outside it.
+func decodeQuery(w wireQuery, width int) (query.Query, error) {
 	switch w.Kind {
 	case "update":
 		set := make([]query.SetClause, len(w.Set))
 		for i, sc := range w.Set {
-			set[i] = query.SetClause{Attr: sc.Attr, Expr: decodeExpr(sc.Expr)}
+			if err := checkAttr(sc.Attr, width); err != nil {
+				return nil, err
+			}
+			expr, err := decodeExpr(sc.Expr, width)
+			if err != nil {
+				return nil, err
+			}
+			set[i] = query.SetClause{Attr: sc.Attr, Expr: expr}
 		}
-		where, err := decodeCond(w.Where)
+		where, err := decodeCond(w.Where, width)
 		if err != nil {
 			return nil, err
 		}
@@ -288,7 +305,7 @@ func decodeQuery(w wireQuery) (query.Query, error) {
 	case "insert":
 		return query.NewInsert(w.Values...), nil
 	case "delete":
-		where, err := decodeCond(w.Where)
+		where, err := decodeCond(w.Where, width)
 		if err != nil {
 			return nil, err
 		}
@@ -309,10 +326,10 @@ func encodeLog(log []query.Query) ([]wireQuery, error) {
 	return out, nil
 }
 
-func decodeLog(ws []wireQuery) ([]query.Query, error) {
+func decodeLog(ws []wireQuery, width int) ([]query.Query, error) {
 	out := make([]query.Query, len(ws))
 	for i, w := range ws {
-		q, err := decodeQuery(w)
+		q, err := decodeQuery(w, width)
 		if err != nil {
 			return nil, fmt.Errorf("query %d: %w", i, err)
 		}
@@ -343,14 +360,12 @@ type wireOptions struct {
 	NoFolding        bool    `json:"no_folding"`
 	NoParamWindows   bool    `json:"no_param_windows"`
 	ColdLP           bool    `json:"cold_lp"`
-	// WarmStart rides the wire as a plain flag (additive, so v2 workers
-	// ignore it and older coordinators simply never set it); the
-	// worker's process-local SolutionCache supplies the actual seeds,
-	// exactly as its impact cache supplies closures.
+	// WarmStart rides the wire as a plain flag; the worker's
+	// process-local SolutionCache supplies the actual seeds, exactly as
+	// its impact cache supplies closures.
 	WarmStart bool `json:"warm_start,omitempty"`
 	// SolverParallel and NoPresolve configure the worker's MILP solver
-	// to match the coordinator's (additive fields, same compatibility
-	// story as WarmStart). -1 means one LP worker per worker-side CPU;
+	// to match the coordinator's. -1 means one LP worker per worker-side CPU;
 	// repairs are byte-identical at any setting, so coordinators and
 	// workers may disagree on parallelism without disagreeing on output.
 	SolverParallel int  `json:"solver_parallel,omitempty"`
@@ -423,19 +438,19 @@ func EncodeJob(id uint64, sub core.Subproblem) (*Job, error) {
 	}, nil
 }
 
-// DecodeJob reconstructs the subproblem, rejecting incompatible protocol
-// versions (anything outside [MinWireVersion, WireVersion]).
+// DecodeJob reconstructs the subproblem, rejecting any protocol version
+// but WireVersion and any attribute index outside the D0 schema.
 func DecodeJob(j *Job) (core.Subproblem, error) {
-	if j.Version < MinWireVersion || j.Version > WireVersion {
+	if j.Version != WireVersion {
 		return core.Subproblem{}, fmt.Errorf(
-			"dist: protocol version mismatch: job v%d, worker speaks v%d-v%d",
-			j.Version, MinWireVersion, WireVersion)
+			"dist: protocol version mismatch: job v%d, worker speaks v%d",
+			j.Version, WireVersion)
 	}
 	d0, err := decodeTable(j.D0)
 	if err != nil {
 		return core.Subproblem{}, err
 	}
-	log, err := decodeLog(j.Log)
+	log, err := decodeLog(j.Log, d0.Schema().Width())
 	if err != nil {
 		return core.Subproblem{}, err
 	}
@@ -466,20 +481,20 @@ func EncodeResult(id uint64, rep *core.Repair, solveErr error) (*Result, error) 
 	return res, nil
 }
 
-// DecodeResult reconstructs the repair, rejecting incompatible protocol
-// versions and propagating worker-side solver errors. Results one
-// generation back (MinWireVersion) are accepted: a v2 worker answering
-// the per-job compatibility path is a valid peer, not skew.
-func DecodeResult(res *Result) (*core.Repair, error) {
-	if res.Version < MinWireVersion || res.Version > WireVersion {
+// DecodeResult reconstructs the repair of a job over a width-attribute
+// schema, rejecting any protocol version but WireVersion and any
+// attribute index outside the schema, and propagating worker-side
+// solver errors.
+func DecodeResult(res *Result, width int) (*core.Repair, error) {
+	if res.Version != WireVersion {
 		return nil, fmt.Errorf(
-			"dist: protocol version mismatch: result v%d, coordinator speaks v%d-v%d",
-			res.Version, MinWireVersion, WireVersion)
+			"dist: protocol version mismatch: result v%d, coordinator speaks v%d",
+			res.Version, WireVersion)
 	}
 	if res.Err != "" {
 		return nil, fmt.Errorf("dist: worker: %s", res.Err)
 	}
-	log, err := decodeLog(res.Log)
+	log, err := decodeLog(res.Log, width)
 	if err != nil {
 		return nil, err
 	}

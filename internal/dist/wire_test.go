@@ -17,7 +17,7 @@ import (
 // a table with a deleted row (the ID counter must survive the trip),
 // all three statement kinds, nested AND/OR conditions with every
 // comparison operator, and a fully populated option set.
-func fixtureSubproblem(t *testing.T) core.Subproblem {
+func fixtureSubproblem(t testing.TB) core.Subproblem {
 	t.Helper()
 	sch := relation.MustSchema("T", []string{"a", "b", "c"}, "a")
 	d0 := relation.NewTable(sch)
@@ -165,7 +165,7 @@ func TestResultRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &onWire); err != nil {
 		t.Fatal(err)
 	}
-	got, err := dist.DecodeResult(&onWire)
+	got, err := dist.DecodeResult(&onWire, sub.D0.Schema().Width())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dist.DecodeResult(errRes); err == nil {
+	if _, err := dist.DecodeResult(errRes, sub.D0.Schema().Width()); err == nil {
 		t.Error("worker-side error did not propagate through DecodeResult")
 	}
 }
@@ -223,7 +223,7 @@ func TestVersionMismatchRejected(t *testing.T) {
 	}
 
 	good := &dist.Result{Version: dist.WireVersion + 1}
-	if _, err := dist.DecodeResult(good); err == nil {
+	if _, err := dist.DecodeResult(good, sub.D0.Schema().Width()); err == nil {
 		t.Error("DecodeResult accepted a mismatched version")
 	}
 }

@@ -269,45 +269,29 @@ func TestCheckpointPreservesTupleIDsAfterDelete(t *testing.T) {
 	}
 }
 
-// The legacy ID-less snapshot format (pre-format-2 stores) must still
-// open, with IDs implicitly 1..n; the first checkpoint upgrades it.
-func TestOpenLegacySnapshotFormat(t *testing.T) {
-	dir := t.TempDir()
-	os.WriteFile(filepath.Join(dir, "meta.txt"),
-		[]byte("table Taxes\nattrs income,owed,pay\n"), 0o644)
-	os.WriteFile(filepath.Join(dir, "snapshot.csv"),
-		[]byte("9500,950,8550\n90000,22500,67500\n"), 0o644)
-	os.WriteFile(filepath.Join(dir, "log.sql"),
-		[]byte("UPDATE Taxes SET pay = income - owed;\n"), 0o644)
+// A snapshot without the format-2 header — the retired ID-less format
+// of bare value rows, or an empty file — is rejected with an error that
+// names the expected format, not read or panicked on.
+func TestOpenRejectsHeaderlessSnapshot(t *testing.T) {
+	for name, snap := range map[string]string{
+		"id-less rows": "9500,950,8550\n90000,22500,67500\n",
+		"empty":        "",
+	} {
+		dir := t.TempDir()
+		os.WriteFile(filepath.Join(dir, "meta.txt"),
+			[]byte("table Taxes\nattrs income,owed,pay\n"), 0o644)
+		os.WriteFile(filepath.Join(dir, "snapshot.csv"), []byte(snap), 0o644)
+		os.WriteFile(filepath.Join(dir, "log.sql"),
+			[]byte("UPDATE Taxes SET pay = income - owed;\n"), 0o644)
 
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got := s.D0().IDs(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("legacy IDs = %v, want [1 2]", got)
-	}
-	if len(s.Log()) != 1 {
-		t.Fatalf("legacy log len = %d, want 1", len(s.Log()))
-	}
-	if s.gen != 0 {
-		t.Errorf("legacy gen = %d, want 0", s.gen)
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.gen != 1 {
-		t.Errorf("upgraded gen = %d, want 1", re.gen)
-	}
-	if got := re.D0().IDs(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("upgraded IDs = %v, want [1 2]", got)
+		s, err := Open(dir)
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s: Open accepted a headerless snapshot", name)
+		}
+		if !strings.Contains(err.Error(), "qfixsnap,2,<nextid>,<gen>") {
+			t.Errorf("%s: error %q does not name the expected format", name, err)
+		}
 	}
 }
 

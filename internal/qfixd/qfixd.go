@@ -90,7 +90,7 @@ type Config struct {
 	// Workers lists qfix-worker addresses; when non-empty the service
 	// holds one shared coordinator over them for its whole lifetime.
 	Workers []string
-	// Mux selects persistent multiplexed worker connections (wire v3).
+	// Deprecated: ignored; every fleet connection is multiplexed.
 	Mux bool
 	// Partition is the default Options.Partition for diagnoses that do
 	// not request one (0 lets each request's options decide).
@@ -164,7 +164,7 @@ func NewService(cfg Config) *Service {
 		tenants: make(map[string]*tenant),
 	}
 	if len(cfg.Workers) > 0 {
-		s.coord = dist.Connect(dist.Config{Mux: cfg.Mux, Logf: cfg.Logf}, cfg.Workers...)
+		s.coord = dist.Connect(dist.Config{Logf: cfg.Logf}, cfg.Workers...)
 	}
 	return s
 }

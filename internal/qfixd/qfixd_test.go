@@ -363,3 +363,25 @@ func TestDaemonProtocolErrors(t *testing.T) {
 		t.Fatalf("connection dead after protocol errors: %v", err)
 	}
 }
+
+// Regression: a complaint with fewer values than the schema is wide
+// once panicked the engine inside the daemon, killing every tenant's
+// connection. It must come back as an error, and the service must keep
+// serving.
+func TestDaemonShortComplaintRejected(t *testing.T) {
+	svc, addr := startDaemon(t, Config{})
+	c := dialDaemon(t, addr)
+	sc := taxScenario(0)
+	seedTenant(t, c, "acme", sc)
+
+	short := []core.Complaint{{TupleID: 3, Exists: true, Values: []float64{86000}}}
+	if _, err := svc.Diagnose(context.Background(), "acme", short, nil); err == nil {
+		t.Fatal("Diagnose accepted a complaint narrower than the schema")
+	}
+	wantLog, wantChanged, wantDist := cliRepair(t, sc)
+	resp, err := c.Diagnose("acme", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRepair(t, "after rejected complaint", resp, wantLog, wantChanged, wantDist)
+}

@@ -44,11 +44,9 @@
 // falling back to the local engine per job when a worker fails — a
 // distributed diagnosis never loses an instance the local engine can
 // solve, and its merged repair goes through the same replay
-// verification. Options.MuxWorkers upgrades the fleet transport to one
-// persistent multiplexed connection per worker (wire v3): concurrent
-// jobs share the connection and each result streams back the moment its
-// solve lands (Stats.StreamedResults), with workers one protocol
-// generation back served one dialed connection per job automatically.
+// verification. The coordinator keeps one persistent multiplexed
+// connection per worker: concurrent jobs share the connection and each
+// result streams back the moment its solve lands (Stats.StreamedResults).
 // Partitions are dispatched largest-first (by the planner's
 // rows × candidates × complaints estimate) on both the local pool and
 // the fleet, so the biggest MILP never sits at the back of the queue
