@@ -40,6 +40,39 @@ func TestDistributedMuxLoopback(t *testing.T) {
 	}
 }
 
+// TestDistributedMuxWorkerKilledMidRun kills one of two workers
+// mid-solve and checks the multiplexing side of the failure: the
+// crashing worker's broken link must not disturb the healthy worker's
+// persistent connection, so every job retried there still streams back
+// over it, and the repair stays byte-identical to the local reference.
+func TestDistributedMuxWorkerKilledMidRun(t *testing.T) {
+	d0, log, complaints := benchInstance(t, 4)
+	want := localReference(t, d0, log, complaints)
+
+	coord := dist.Connect(dist.Config{Retries: 1, Logf: t.Logf},
+		startWorker(t), startCrashingWorker(t))
+	defer coord.Close()
+	got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch := d0.Schema()
+	if w, g := repairFingerprint(sch, want), repairFingerprint(sch, got); w != g {
+		t.Errorf("mux repair with a crashing worker differs from local:\n got:\n%s\nwant:\n%s", g, w)
+	}
+	if !got.Resolved {
+		t.Fatalf("crashing mux worker lost the instance: %+v", got.Stats)
+	}
+	if got.Stats.RemoteJobs != got.Stats.Partitions {
+		t.Errorf("RemoteJobs = %d, want %d (retry should reach the healthy worker)",
+			got.Stats.RemoteJobs, got.Stats.Partitions)
+	}
+	if got.Stats.StreamedResults != got.Stats.RemoteJobs {
+		t.Errorf("Stats.StreamedResults = %d, want %d (the healthy worker's persistent connection carries every result)",
+			got.Stats.StreamedResults, got.Stats.RemoteJobs)
+	}
+}
+
 // TestDistributedMuxReconnectAfterWorkerRestart restarts the worker
 // between two diagnoses on one coordinator: the persistent connection
 // breaks with the old process, the transport reconnects (after its
