@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/encode"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/sched"
 )
 
 // Diagnose runs QFix: it analyzes the log and the complaint set and
@@ -95,9 +98,6 @@ func (d *diagnoser) dispatch() (*Repair, error) {
 func (d *diagnoser) solveJoint() (*Repair, error) {
 	switch d.opt.Algorithm {
 	case Incremental:
-		if d.opt.Parallel > 1 {
-			return d.incrementalParallel()
-		}
 		return d.incremental()
 	default:
 		return d.basic()
@@ -215,9 +215,9 @@ func (d *diagnoser) encComplaints() []encode.Complaint {
 
 // attempt encodes the given parameter set over the given log and solves,
 // returning the repaired log when the solver finds a solution. Solver
-// statistics accumulate into st (shared for the sequential scan,
-// per-worker under the parallel scan); encode/seed/solve spans hang
-// under sp (typically a per-batch span).
+// statistics accumulate into st (per batch under the Inc_k scan, shared
+// under Basic); encode/seed/solve spans hang under sp (typically a
+// per-batch span).
 func (d *diagnoser) attempt(baseLog []query.Query, paramSet map[int]bool, soft []int64, st *Stats, sp *obs.Span) ([]query.Query, bool, error) {
 	eo := d.opt.encOptions()
 	eo.ParamQueries = paramSet
@@ -345,65 +345,218 @@ func (d *diagnoser) basic() (*Repair, error) {
 
 // incremental runs Algorithm 3: batches of K consecutive candidates,
 // newest first. A verified repair that leaves every non-complaint tuple
-// at its dirty value is returned immediately. A repair that resolves the
+// at its dirty value ends the scan. A repair that resolves the
 // complaints but disturbs other tuples is kept as a fallback while older
 // batches are scanned — without tuple slicing this cannot happen (hard
 // constraints forbid disturbance, as in the paper's Basic_params), and
 // with tuple slicing this gate is what keeps repair precision high when
-// a newer query admits a spurious fix.
+// a newer query admits a spurious fix. Among fallbacks the least damage,
+// then the least distance, wins. An encode error or the TotalTimeLimit
+// deadline also ends the scan.
+//
+// With Options.Parallel > 1 the batches, which are independent MILPs,
+// solve concurrently on the shared scheduler (an extension beyond the
+// paper, after its closing "additional methods of scaling the constraint
+// analysis" direction); otherwise each runs inline on this goroutine.
+// Either way one adjudication consumes the batch outcomes in newest-first
+// order and stops at the same decisive batch, whose status is pinned as
+// Stats.LastStatus, so the repair and status do not depend on Parallel.
+// Only the statistics of work started behind the decisive batch differ:
+// the inline scan never starts it, the parallel scan skips or abandons
+// it.
 func (d *diagnoser) incremental() (*Repair, error) {
-	// Candidates sorted most to least recent.
+	// Candidates sorted most to least recent, cut into batches of K.
 	cands := append([]int(nil), d.candidates...)
-	for i, j := 0, len(cands)-1; i < j; i, j = i+1, j-1 {
-		cands[i], cands[j] = cands[j], cands[i]
+	slices.Reverse(cands)
+	var batches [][]int
+	for start := 0; start < len(cands); start += d.opt.K {
+		batches = append(batches, cands[start:min(start+d.opt.K, len(cands))])
 	}
-	var fallback *Repair
-	fallbackDamage := 0
-	k := d.opt.K
-	for start := 0; start < len(cands); start += k {
+
+	// stop is raised once the decisive batch is adjudicated; batches not
+	// yet started then need not run.
+	var stop atomic.Bool
+	// solve is the per-batch body. sp is the batch's span; nil makes it
+	// open one of its own once it knows the batch will run, so the inline
+	// scan traces exactly the batches it solves.
+	solve := func(bi int, sp *obs.Span) batchOutcome {
+		var out batchOutcome
+		if stop.Load() {
+			out.stats.LastStatus = "skipped"
+			return out
+		}
 		if !d.deadline.IsZero() && time.Now().After(d.deadline) {
-			d.stats.LastStatus = "total-time-limit"
-			break
+			out.stats.LastStatus = "total-time-limit"
+			return out
 		}
-		end := start + k
-		if end > len(cands) {
-			end = len(cands)
+		if sp == nil {
+			sp = d.span.Start("batch")
+			sp.SetAttr("queries", len(batches[bi]))
+			defer sp.End()
 		}
-		paramSet := make(map[int]bool, end-start)
-		for _, qi := range cands[start:end] {
+		paramSet := make(map[int]bool, len(batches[bi]))
+		for _, qi := range batches[bi] {
 			paramSet[qi] = true
 		}
-		bsp := d.span.Start("batch")
-		bsp.SetAttr("queries", len(paramSet))
-		repaired, ok, err := d.attempt(d.log, paramSet, nil, &d.stats, bsp)
-		if err != nil {
-			bsp.End()
-			return nil, err
+		repaired, ok, err := d.attempt(d.log, paramSet, nil, &out.stats, sp)
+		if err != nil || !ok {
+			out.err = err
+			return out
 		}
-		if !ok {
-			bsp.End()
-			continue
+		out.repaired = d.maybeRefine(repaired, paramSet, &out.stats, sp)
+		return out
+	}
+
+	var adj incAdjudicator
+	if d.opt.Parallel <= 1 {
+		for bi := range batches {
+			if adj.take(d, solve(bi, nil)) {
+				break
+			}
 		}
-		repaired = d.maybeRefine(repaired, paramSet, &d.stats, bsp)
-		bsp.End()
-		rep := d.finish(repaired)
-		if !rep.Resolved {
-			continue // failed replay verification; scan older batches
+	} else {
+		// Batch spans are pre-created in index order by this
+		// (coordinating) goroutine, so the trace's top-level shape is
+		// fixed before any job runs; each job fills in only its own
+		// subtree. Which batches end up skipped still depends on timing
+		// — the determinism pin covers -solver-parallel, not the batch
+		// scan.
+		bspans := make([]*obs.Span, len(batches))
+		for bi := range batches {
+			bspans[bi] = d.span.Start("batch")
+			bspans[bi].SetAttr("queries", len(batches[bi]))
 		}
-		damage := d.nonComplaintDamage(rep.Log)
-		if damage == 0 {
-			return rep, nil
+		results, wait := sched.Schedule(d.opt.Scheduler, d.opt.Parallel, len(batches), nil, func(bi int) batchOutcome {
+			defer bspans[bi].End()
+			return solve(bi, bspans[bi])
+		})
+		// Every scheduled job delivers exactly one outcome into its own
+		// 1-buffered channel, even when skipped, so each receive
+		// completes; cancellation lives in the jobs (stop flag + deadline
+		// checks) and the merge MUST drain all of them for deterministic
+		// stats.
+		//qfix:ctx-ok receives always complete: jobs deliver even when skipped; jobs own cancellation
+		for bi := range batches {
+			if adj.take(d, <-results[bi]) {
+				stop.Store(true)
+			}
 		}
-		if fallback == nil || damage < fallbackDamage ||
-			(damage == fallbackDamage && rep.Distance < fallback.Distance) {
-			fallback, fallbackDamage = rep, damage
+		wait()
+	}
+	return adj.result(d)
+}
+
+// batchOutcome is one Inc_k batch's result: the refined repaired log
+// (nil when the batch found no solution), an encode error, and the
+// batch's own statistics.
+type batchOutcome struct {
+	repaired []query.Query
+	err      error
+	stats    Stats
+}
+
+// incAdjudicator consumes batch outcomes in newest-first order and
+// decides the Inc_k scan: the first clean repair wins; the least-damage,
+// then least-distance, resolved repair is the fallback; an error or an
+// expired deadline ends the scan too.
+type incAdjudicator struct {
+	decided  bool
+	status   string // LastStatus of the latest batch adjudicated up to the decision
+	err      error
+	winner   *Repair
+	fallback *Repair
+	damage   int // the fallback's non-complaint damage
+}
+
+// take merges one outcome's statistics and, until the scan is decided,
+// adjudicates it. It reports whether the scan is decided; outcomes taken
+// after that (work abandoned behind the decisive batch) only add their
+// statistics.
+func (a *incAdjudicator) take(d *diagnoser, out batchOutcome) bool {
+	d.mergeStats(out.stats)
+	if a.decided {
+		return true
+	}
+	if out.stats.LastStatus != "" {
+		a.status = out.stats.LastStatus
+	}
+	if out.err != nil {
+		a.err, a.decided = out.err, true
+		return true
+	}
+	if out.repaired != nil {
+		if rep := d.finish(out.repaired); rep.Resolved {
+			damage := d.nonComplaintDamage(rep.Log)
+			if damage == 0 {
+				a.winner, a.decided = rep, true
+				return true
+			}
+			if a.fallback == nil || damage < a.damage ||
+				(damage == a.damage && rep.Distance < a.fallback.Distance) {
+				a.fallback, a.damage = rep, damage
+			}
 		}
 	}
-	if fallback != nil {
-		fallback.Stats = d.stats
-		return fallback, nil
+	// The deadline has passed: every older batch would be skipped.
+	a.decided = out.stats.LastStatus == "total-time-limit"
+	return a.decided
+}
+
+// result packages the decision, pinning the decisive batch's status over
+// whatever abandoned batches merged after it.
+func (a *incAdjudicator) result(d *diagnoser) (*Repair, error) {
+	if a.status != "" {
+		d.stats.LastStatus = a.status
 	}
-	return d.finish(nil), nil
+	if a.err != nil {
+		return nil, a.err
+	}
+	rep := a.winner
+	if rep == nil {
+		rep = a.fallback
+	}
+	if rep == nil {
+		return d.finish(nil), nil
+	}
+	rep.Stats = d.stats
+	return rep, nil
+}
+
+// mergeStats folds a batch's or partition's statistics into the shared
+// totals. Called only from the adjudicating goroutine.
+func (d *diagnoser) mergeStats(st Stats) {
+	d.stats.Rows += st.Rows
+	d.stats.Vars += st.Vars
+	d.stats.Binaries += st.Binaries
+	d.stats.BatchesTried += st.BatchesTried
+	d.stats.Nodes += st.Nodes
+	d.stats.LPIters += st.LPIters
+	d.stats.Refactorizations += st.Refactorizations
+	d.stats.PresolvedRows += st.PresolvedRows
+	d.stats.EncodeTime += st.EncodeTime
+	d.stats.SolveTime += st.SolveTime
+	d.stats.PlanTime += st.PlanTime
+	d.stats.MergeTime += st.MergeTime
+	d.stats.PlanPasses += st.PlanPasses
+	d.stats.RemoteJobs += st.RemoteJobs
+	d.stats.StreamedResults += st.StreamedResults
+	d.stats.WarmSeeds += st.WarmSeeds
+	d.stats.ImpactCacheHits += st.ImpactCacheHits
+	d.stats.ImpactCacheExtends += st.ImpactCacheExtends
+	d.stats.WorkerCacheHits += st.WorkerCacheHits
+	d.stats.ImpactTime += st.ImpactTime
+	if st.Refined {
+		d.stats.Refined = true
+	}
+	if st.Partitions > d.stats.Partitions {
+		d.stats.Partitions = st.Partitions
+	}
+	if st.PartitionFallback {
+		d.stats.PartitionFallback = true
+	}
+	if st.LastStatus != "" {
+		d.stats.LastStatus = st.LastStatus
+	}
 }
 
 // nonComplaintDamage counts non-complaint tuples whose replayed final

@@ -161,3 +161,32 @@ func TestParallelOldCorruption(t *testing.T) {
 		t.Errorf("changed = %v, want [0]", rep.Changed)
 	}
 }
+
+// An Inc_k scan stopped by TotalTimeLimit reports "total-time-limit"
+// whether its batches run inline or on the scheduler: the adjudication
+// pins the status of the batch that ended the scan, not that of batches
+// skipped behind it.
+func TestIncrementalDeadlineStatus(t *testing.T) {
+	d0, dirty, truth := figure2()
+	complaints := completeComplaints(t, d0, dirty, truth)
+	for _, parallel := range []int{1, 2} {
+		rep, err := Diagnose(d0, dirty, complaints, Options{
+			Algorithm:      Incremental,
+			TupleSlicing:   true,
+			QuerySlicing:   true,
+			Parallel:       parallel,
+			TimeLimit:      30 * time.Second,
+			TotalTimeLimit: time.Nanosecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Resolved {
+			t.Errorf("Parallel=%d: resolved with an expired deadline", parallel)
+		}
+		if rep.Stats.LastStatus != "total-time-limit" {
+			t.Errorf("Parallel=%d: LastStatus = %q, want total-time-limit",
+				parallel, rep.Stats.LastStatus)
+		}
+	}
+}

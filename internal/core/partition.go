@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/sched"
 )
 
 // This file is the planning half of the plan/solve engine. FullImpact
@@ -59,7 +60,7 @@ func partitionSize(rows, candidates, complaints int) int {
 // Ties keep index order (stable sort), so the order — and therefore the
 // scheduler's start sequence — is deterministic for a given plan.
 // Result adjudication stays in submission (index) order regardless; see
-// scheduleOrder.
+// sched.Schedule.
 func largestFirst(parts []partition) []int {
 	order := make([]int, len(parts))
 	for i := range order {
@@ -265,7 +266,7 @@ func (d *diagnoser) solvePartitions(parts []partition) ([]*Repair, error) {
 		queueWait time.Duration
 		solve     time.Duration
 	}
-	results, wait := scheduleOrder(d.opt.Scheduler, d.opt.Partition, len(parts), largestFirst(parts), func(i int) outcome {
+	results, wait := sched.Schedule(d.opt.Scheduler, d.opt.Partition, len(parts), largestFirst(parts), func(i int) outcome {
 		jobStart := time.Now()
 		qspans[i].End()
 		defer pspans[i].End()
@@ -299,7 +300,7 @@ func (d *diagnoser) solvePartitions(parts []partition) ([]*Repair, error) {
 
 	reps := make([]*Repair, len(parts))
 	var firstErr error
-	// As in the parallel batch scan: every partition job delivers one
+	// As in the Inc_k batch scan: every partition job delivers one
 	// outcome (deadline-expired jobs deliver a "total-time-limit" stub),
 	// so the adjudication drain always completes; cancellation is the
 	// jobs' own deadline check.
@@ -374,7 +375,7 @@ func (d *diagnoser) solveSub(cs []Complaint, o Options) (*Repair, error) {
 //     jointly;
 //   - a partition that failed to resolve → the joint outcome would be
 //     unresolved too, so return the identity repair unresolved, exactly
-//     like the sequential scan does;
+//     like the Inc_k scan does;
 //   - the merged log fails full-complaint verification (cross-partition
 //     interference through tuples outside the complaint attributes) →
 //     fall back to a joint solve.

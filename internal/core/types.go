@@ -74,10 +74,13 @@ type Options struct {
 	// K is the incremental batch size (default 1; the paper finds k>1
 	// impractical, §7.2).
 	K int
-	// Parallel > 1 scans incremental batches with that many concurrent
-	// workers. The chosen repair is identical to the sequential scan
-	// (batches are adjudicated newest-first); only wall-clock time and
-	// wasted-work statistics differ. Parallel = -1 sizes the pool
+	// Parallel > 1 solves the Inc_k batches with that many concurrent
+	// jobs on the scheduler; Parallel <= 1 runs them inline on the
+	// calling goroutine. It is one scan either way: batches are
+	// adjudicated newest-first and the scan stops at the same decisive
+	// batch, so the repair and Stats.LastStatus do not depend on
+	// Parallel; only wall-clock time and the statistics of work started
+	// behind the decisive batch differ. Parallel = -1 sizes the pool
 	// adaptively from runtime.GOMAXPROCS. Extension beyond the paper.
 	Parallel int
 	// Partition > 0 enables partition-parallel diagnosis with that many
@@ -100,16 +103,17 @@ type Options struct {
 	// constraint analysis" direction).
 	Partition int
 
-	// Scheduler, when non-nil, runs the engine's solve scans (the
-	// incremental batch scan and the partition scan) on this resident
-	// shared worker pool instead of spinning up fresh goroutines per
-	// scan. Parallel/Partition still bound each scan's share of the
-	// pool; the pool's own size bounds the process total, which is what
-	// a resident multi-tenant service (internal/qfixd) needs when many
-	// diagnoses run concurrently. Process-local: never serialized, and
-	// partition subproblems shipped to workers solve without it. The
-	// chosen repair is identical with or without a Scheduler (results
-	// are adjudicated in submission order either way).
+	// Scheduler, when non-nil, runs the engine's scheduled jobs (Inc_k
+	// batches when Parallel > 1, and partitions) on this resident shared
+	// worker pool instead of one fresh goroutine per job; see
+	// sched.Schedule. Parallel/Partition still bound each scan's share
+	// of the pool; the pool's own size bounds the process total, which
+	// is what a resident multi-tenant service (internal/qfixd) needs
+	// when many diagnoses run concurrently. Process-local: never
+	// serialized, and partition subproblems shipped to workers solve
+	// without it. The chosen repair is identical with or without a
+	// Scheduler (results are adjudicated in submission order either
+	// way).
 	Scheduler *sched.Pool
 
 	// PartitionSolver, when non-nil, dispatches each partition

@@ -298,12 +298,12 @@ func (c *Coordinator) dispatch(job *Job, deadline time.Time, sp *obs.Span) (*cor
 				budgetLeft(deadline), err)
 			continue
 		}
-		rep, err := DecodeResult(res, len(job.D0.Attrs))
+		rep, err := DecodeResult(res, job)
 		if err != nil {
-			// Version mismatch or a worker-side solve error. A solve
-			// error would hit the local engine too, but the local
-			// fallback keeps the no-lost-instances guarantee cheap to
-			// state, so take it rather than guessing.
+			// Version mismatch, a malformed result, or a worker-side
+			// solve error. A solve error would hit the local engine too,
+			// but the local fallback keeps the no-lost-instances
+			// guarantee cheap to state, so take it rather than guessing.
 			asp.SetAttr("outcome", "rejected")
 			asp.End()
 			c.logf("dist: warn retry job=%d worker=%s attempt=%d/%d elapsed=%v budget_left=%s rejected=%q",

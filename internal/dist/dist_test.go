@@ -301,6 +301,31 @@ func TestDistributedVersionSkewFallsBackLocal(t *testing.T) {
 	}
 }
 
+// TestDistributedLyingWorkerFallsBackLocal points the coordinator at a
+// worker whose resolved answers do not fit their jobs: a Changed index
+// outside the log, or a log shorter than the job's. Merging such a
+// result once panicked the coordinating process; DecodeResult must
+// reject it so every job falls back to the local engine.
+func TestDistributedLyingWorkerFallsBackLocal(t *testing.T) {
+	d0, log, complaints := benchInstance(t, 4)
+	want := localReference(t, d0, log, complaints)
+	sch := d0.Schema()
+	for lie := 0; lie < 3; lie++ {
+		coord := dist.NewCoordinator(dist.Config{Logf: t.Logf}, lyingTransport{lie})
+		got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
+		coord.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, g := repairFingerprint(sch, want), repairFingerprint(sch, got); w != g {
+			t.Errorf("lie %d: fallback repair differs from local:\n got:\n%s\nwant:\n%s", lie, g, w)
+		}
+		if got.Stats.RemoteJobs != 0 {
+			t.Errorf("lie %d: Stats.RemoteJobs = %d, want 0 (all results rejected)", lie, got.Stats.RemoteJobs)
+		}
+	}
+}
+
 // TestDistributedUnresolvedWorkerNotTrusted simulates a degraded worker
 // (e.g. capped with -max-timelimit below the solve's needs) that
 // answers every job with a well-formed but unresolved result. The
@@ -348,3 +373,13 @@ func (skewedTransport) Do(_ context.Context, job *dist.Job) (*dist.Result, error
 }
 func (skewedTransport) Addr() string { return "skewed" }
 func (skewedTransport) Close() error { return nil }
+
+// lyingTransport answers every job with one of lyingResults' resolved
+// results that do not fit the job.
+type lyingTransport struct{ lie int }
+
+func (l lyingTransport) Do(_ context.Context, job *dist.Job) (*dist.Result, error) {
+	return lyingResults(job)[l.lie].res, nil
+}
+func (lyingTransport) Addr() string { return "lying" }
+func (lyingTransport) Close() error { return nil }

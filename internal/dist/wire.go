@@ -19,6 +19,7 @@ package dist
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -368,6 +369,8 @@ type wireOptions struct {
 	// to match the coordinator's. -1 means one LP worker per worker-side CPU;
 	// repairs are byte-identical at any setting, so coordinators and
 	// workers may disagree on parallelism without disagreeing on output.
+	// The worker clamps larger values to its own GOMAXPROCS: milp starts
+	// SolverParallel-1 goroutines per solve, outside any admission bound.
 	SolverParallel int  `json:"solver_parallel,omitempty"`
 	NoPresolve     bool `json:"no_presolve,omitempty"`
 }
@@ -417,7 +420,7 @@ func decodeOptions(w wireOptions) core.Options {
 		NoParamWindows:   w.NoParamWindows,
 		ColdLP:           w.ColdLP,
 		WarmStart:        w.WarmStart,
-		SolverParallel:   w.SolverParallel,
+		SolverParallel:   min(w.SolverParallel, runtime.GOMAXPROCS(0)),
 		NoPresolve:       w.NoPresolve,
 	}
 }
@@ -481,11 +484,15 @@ func EncodeResult(id uint64, rep *core.Repair, solveErr error) (*Result, error) 
 	return res, nil
 }
 
-// DecodeResult reconstructs the repair of a job over a width-attribute
-// schema, rejecting any protocol version but WireVersion and any
-// attribute index outside the schema, and propagating worker-side
-// solver errors.
-func DecodeResult(res *Result, width int) (*core.Repair, error) {
+// DecodeResult reconstructs the repair a worker returned for job,
+// rejecting any protocol version but WireVersion, any attribute index
+// outside the job's schema, a log of another length than the job's, and
+// a Changed entry that does not index that log, and propagating
+// worker-side solver errors. The coordinator merges accepted repairs by
+// indexing their logs with Changed, so a result failing these checks is
+// treated like any other rejected answer: the job falls back to the
+// local engine.
+func DecodeResult(res *Result, job *Job) (*core.Repair, error) {
 	if res.Version != WireVersion {
 		return nil, fmt.Errorf(
 			"dist: protocol version mismatch: result v%d, coordinator speaks v%d",
@@ -494,9 +501,17 @@ func DecodeResult(res *Result, width int) (*core.Repair, error) {
 	if res.Err != "" {
 		return nil, fmt.Errorf("dist: worker: %s", res.Err)
 	}
-	log, err := decodeLog(res.Log, width)
+	log, err := decodeLog(res.Log, len(job.D0.Attrs))
 	if err != nil {
 		return nil, err
+	}
+	if len(log) != len(job.Log) {
+		return nil, fmt.Errorf("dist: result log has %d queries, job log %d", len(log), len(job.Log))
+	}
+	for _, qi := range res.Changed {
+		if qi < 0 || qi >= len(log) {
+			return nil, fmt.Errorf("dist: result changes query %d outside the %d-query log", qi, len(log))
+		}
 	}
 	return &core.Repair{
 		Log:      log,

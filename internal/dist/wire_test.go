@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -153,6 +154,10 @@ func TestResultRoundTrip(t *testing.T) {
 			LastStatus: "optimal",
 		},
 	}
+	job, err := dist.EncodeJob(7, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := dist.EncodeResult(7, rep, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +170,7 @@ func TestResultRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &onWire); err != nil {
 		t.Fatal(err)
 	}
-	got, err := dist.DecodeResult(&onWire, sub.D0.Schema().Width())
+	got, err := dist.DecodeResult(&onWire, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +196,7 @@ func TestResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dist.DecodeResult(errRes, sub.D0.Schema().Width()); err == nil {
+	if _, err := dist.DecodeResult(errRes, job); err == nil {
 		t.Error("worker-side error did not propagate through DecodeResult")
 	}
 }
@@ -223,7 +228,30 @@ func TestVersionMismatchRejected(t *testing.T) {
 	}
 
 	good := &dist.Result{Version: dist.WireVersion + 1}
-	if _, err := dist.DecodeResult(good, sub.D0.Schema().Width()); err == nil {
+	if _, err := dist.DecodeResult(good, job); err == nil {
 		t.Error("DecodeResult accepted a mismatched version")
+	}
+}
+
+// A job's solver_parallel above the worker's GOMAXPROCS is clamped to
+// it; the adaptive -1 and values within bounds pass through.
+func TestDecodeJobClampsSolverParallel(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ in, want int }{
+		{0, 0}, {-1, -1}, {1, 1}, {procs, procs}, {procs + 1, procs}, {1 << 30, procs},
+	} {
+		sub := fixtureSubproblem(t)
+		sub.Options.SolverParallel = c.in
+		job, err := dist.EncodeJob(1, sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dist.DecodeJob(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Options.SolverParallel != c.want {
+			t.Errorf("solver_parallel %d decoded to %d, want %d", c.in, got.Options.SolverParallel, c.want)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -384,4 +385,18 @@ func TestDaemonShortComplaintRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRepair(t, "after rejected complaint", resp, wantLog, wantChanged, wantDist)
+}
+
+// A client-chosen solver_parallel above this process's GOMAXPROCS is
+// clamped to it; the adaptive -1 and values within bounds pass through.
+func TestResolveClampsSolverParallel(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ in, want int }{
+		{0, 0}, {-1, -1}, {1, 1}, {procs, procs}, {procs + 1, procs}, {1 << 30, procs},
+	} {
+		o := &DiagnoseOptions{SolverParallel: c.in}
+		if got := o.resolve().SolverParallel; got != c.want {
+			t.Errorf("solver_parallel %d resolved to %d, want %d", c.in, got, c.want)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package qfixd
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -125,7 +126,10 @@ func (o *DiagnoseOptions) resolve() core.Options {
 	}
 	opt.Parallel = o.Parallel
 	opt.Partition = o.Partition
-	opt.SolverParallel = o.SolverParallel
+	// milp starts SolverParallel-1 goroutines per solve outside the
+	// resident pool, so a client may not ask for more than this process
+	// has CPUs. Repairs and counters are identical at any setting.
+	opt.SolverParallel = min(o.SolverParallel, runtime.GOMAXPROCS(0))
 	opt.TupleSlicing = !o.NoTupleSlicing
 	opt.QuerySlicing = !o.NoQuerySlicing
 	opt.AttrSlicing = o.AttrSlicing

@@ -1,8 +1,9 @@
 // Package sched holds the worker-pool primitives shared by every layer
 // that fans work out over goroutines: the core solve scans (incremental
-// batches, partitions) and the milp parallel branch-and-bound. It is a
-// leaf package — core imports encode imports milp, so the scheduler must
-// live below all of them.
+// batches, partitions) run their job lists through Schedule, and the
+// milp parallel branch-and-bound starts its open-ended LP workers with
+// Workers. It is a leaf package — core imports encode imports milp, so
+// the scheduler must live below all of them.
 package sched
 
 import (
@@ -12,39 +13,41 @@ import (
 )
 
 // Process-wide gauges on obs.Default(): how many scheduler jobs are
-// waiting in feeds and how many pool goroutines are live right now.
+// waiting to start and how many scheduler goroutines are live right now.
 // Updated with one atomic op per job/worker transition — invisible next
 // to the MILP solves the jobs carry.
 var (
 	mQueueDepth = obs.Default().Gauge("qfix_sched_queue_depth",
 		"Scheduler jobs submitted but not yet started, across all active pools.")
 	mWorkers = obs.Default().Gauge("qfix_sched_workers",
-		"Live scheduler pool goroutines (Schedule/ScheduleOrder/Workers).")
+		"Live scheduler goroutines (Schedule jobs, resident Pool workers, Workers).")
 )
 
-// Schedule fans jobs 0..n-1 out over a pool of at most workers
-// concurrent goroutines, starting them in index order.
-func Schedule[R any](workers, n int, job func(i int) R) (results []chan R, wait func()) {
-	return ScheduleOrder(workers, n, nil, job)
-}
-
-// ScheduleOrder is Schedule with an explicit start order: order[k] is
-// the k-th job index handed to the pool (nil means 0..n-1; otherwise it
-// must be a permutation of 0..n-1). The partition scan passes its
-// largest-first order here so the biggest MILP is never stuck behind
-// the queue defining the critical path.
+// Schedule fans jobs 0..n-1 out with at most workers of them in flight
+// at once, starting them in the given order: order[k] is the k-th job
+// index started (nil means 0..n-1; otherwise it must be a permutation of
+// 0..n-1). The partition scan passes its largest-first order here so the
+// biggest MILP is never stuck behind the queue defining the critical
+// path.
+//
+// With a nil pool each job runs on a goroutine of its own; with a
+// resident pool the jobs run on its workers and `workers` bounds this
+// job list's share of the pool. Either way a share semaphore of `workers`
+// tokens gates the starts, so the two modes start the same jobs in the
+// same order.
 //
 // Every job gets its own 1-buffered result channel, so the consumer can
 // adjudicate results in SUBMISSION order (index order, not start order)
 // while later jobs are still running — the property the callers rely on
-// for determinism: whichever job finishes first, and whatever order the
-// pool started them in, the *choice* among results is made in a fixed
-// order. Jobs that want to short-circuit after a decision (e.g. batches
-// older than an accepted repair) check their own cancellation flag
-// inside job; the scheduler itself never drops a slot.
+// for determinism: whichever job finishes first, whatever order they
+// started in, and however job lists from concurrent scans interleave on
+// a shared pool, the *choice* among results is made in a fixed order.
+// Jobs that want to short-circuit after a decision (e.g. batches older
+// than an accepted repair) check their own cancellation flag inside job;
+// the scheduler itself never drops a slot.
 //
 // wait blocks until every job has delivered its result.
-func ScheduleOrder[R any](workers, n int, order []int, job func(i int) R) (results []chan R, wait func()) {
+func Schedule[R any](p *Pool, workers, n int, order []int, job func(i int) R) (results []chan R, wait func()) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -55,46 +58,41 @@ func ScheduleOrder[R any](workers, n int, order []int, job func(i int) R) (resul
 	for i := range results {
 		results[i] = make(chan R, 1)
 	}
-	feed := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		mWorkers.Add(1)
-		go func() {
-			defer wg.Done()
-			defer mWorkers.Add(-1)
-			// The pool's cancellation contract lives in the jobs, not the
-			// plumbing: feed is always closed by the feeder, every job
-			// delivers into its own 1-buffered channel (the send never
-			// blocks), and jobs that should stop early check their own
-			// flag/deadline. A ctx here would double-encode that contract.
-			//qfix:ctx-ok pool drains a closed feed; sends are 1-buffered; jobs own cancellation
-			for i := range feed {
-				mQueueDepth.Add(-1)
-				results[i] <- job(i)
-			}
-		}()
+	wg.Add(n)
+	share := make(chan struct{}, workers)
+	// run delivers job i into its own 1-buffered channel (the send never
+	// blocks) and hands its share token to the next start.
+	run := func(i int) {
+		mQueueDepth.Add(-1)
+		results[i] <- job(i)
+		<-share
+		wg.Done()
 	}
 	mQueueDepth.Add(int64(n))
-	// The feeder performs exactly n sends, each matched by a worker
-	// receive, then closes feed — termination is structural, not
-	// signal-driven.
-	//qfix:leak-ok feeder makes n matched sends then closes feed; workers drain it
+	// The feeder makes exactly n starts, each after taking a share token
+	// that a finished job gives back, so it cannot wedge: every started
+	// job runs to completion (jobs own cancellation, as everywhere in
+	// this package), and the pool drains its queue until Close.
+	//qfix:leak-ok feeder makes n starts, each on a token released by a finished job
 	go func() {
-		if order == nil {
-			// Feeding cannot wedge: the pool above keeps receiving until
-			// feed closes, and it closes right after these sends.
-			//qfix:ctx-ok every send is matched by a pool receive; close follows
-			for i := 0; i < n; i++ {
-				feed <- i
+		//qfix:ctx-ok n bounded starts; each token is released by a job that always completes
+		for k := 0; k < n; k++ {
+			i := k
+			if order != nil {
+				i = order[k]
 			}
-		} else {
-			//qfix:ctx-ok every send is matched by a pool receive; close follows
-			for _, i := range order {
-				feed <- i
+			share <- struct{}{}
+			if p != nil {
+				p.jobs <- func() { run(i) }
+				continue
 			}
+			mWorkers.Add(1)
+			go func() {
+				defer mWorkers.Add(-1)
+				run(i)
+			}()
 		}
-		close(feed)
 	}()
 	return results, wg.Wait
 }
@@ -102,17 +100,17 @@ func ScheduleOrder[R any](workers, n int, order []int, job func(i int) R) (resul
 // Pool is a resident worker pool: a fixed set of long-lived goroutines
 // draining one shared run queue. It exists for resident services
 // (internal/qfixd) that multiplex many concurrent diagnoses onto one
-// process: Schedule/ScheduleOrder spin up a fresh pool per scan, which
-// is right for a one-shot CLI run but makes every diagnosis in a daemon
-// pay goroutine churn and lets concurrent diagnoses oversubscribe the
-// CPU (each scan sizing its own pool as if it were alone). A Pool is
+// process: without one, Schedule starts fresh goroutines for every job,
+// which is right for a one-shot CLI run but makes every diagnosis in a
+// daemon pay goroutine churn and lets concurrent diagnoses oversubscribe
+// the CPU (each scan sizing its share as if it were alone). A Pool is
 // created once, shared via core.Options.Scheduler, and bounds the
 // process's total solve concurrency at its worker count while each
-// scan's OnPool call still bounds that scan's share.
+// Schedule call still bounds that scan's share.
 //
-// Close-after-drain contract: Submit after Close panics. Owners stop
-// feeding work (drain their in-flight diagnoses) before closing; the
-// qfixd server's graceful drain is exactly that sequence.
+// Close-after-drain contract: Schedule on a closed pool panics. Owners
+// stop feeding work (drain their in-flight diagnoses) before closing;
+// the qfixd server's graceful drain is exactly that sequence.
 type Pool struct {
 	jobs chan func()
 	wg   sync.WaitGroup
@@ -131,7 +129,7 @@ func NewPool(n int) *Pool {
 			defer p.wg.Done()
 			defer mWorkers.Add(-1)
 			// Resident workers live until Close closes the queue; jobs
-			// own their cancellation exactly as in ScheduleOrder.
+			// own their cancellation exactly as in Schedule.
 			//qfix:ctx-ok exits via Close(): closed jobs channel ends the range
 			for f := range p.jobs {
 				f()
@@ -147,57 +145,6 @@ func NewPool(n int) *Pool {
 func (p *Pool) Close() {
 	close(p.jobs)
 	p.wg.Wait()
-}
-
-// OnPool is ScheduleOrder running on a resident pool instead of fresh
-// goroutines: jobs 0..n-1 are fed to p in the given start order, at
-// most `workers` of this batch in flight at once (the batch's share of
-// the pool), each delivering into its own 1-buffered result channel so
-// the consumer adjudicates in submission order — the same determinism
-// contract as ScheduleOrder, which is why the chosen result is
-// independent of which pool worker ran which job or how batches from
-// concurrent scans interleave on the shared queue. (A generic method is
-// not expressible on Pool, hence the package-level function.)
-func OnPool[R any](p *Pool, workers, n int, order []int, job func(i int) R) (results []chan R, wait func()) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	results = make([]chan R, n)
-	for i := range results {
-		results[i] = make(chan R, 1)
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	share := make(chan struct{}, workers)
-	mQueueDepth.Add(int64(n))
-	go func() {
-		// The feeder blocks on the batch's share semaphore, then on the
-		// pool queue; both drain monotonically (every job releases its
-		// share token and every submitted job runs), so feeding cannot
-		// wedge. Jobs own cancellation, as everywhere in this package.
-		feed := func(i int) {
-			share <- struct{}{}
-			p.jobs <- func() {
-				mQueueDepth.Add(-1)
-				results[i] <- job(i)
-				<-share
-				wg.Done()
-			}
-		}
-		if order == nil {
-			for i := 0; i < n; i++ {
-				feed(i)
-			}
-		} else {
-			for _, i := range order {
-				feed(i)
-			}
-		}
-	}()
-	return results, wg.Wait
 }
 
 // Workers starts fn on n goroutines (worker ids 0..n-1) and returns a

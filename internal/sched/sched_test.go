@@ -1,23 +1,23 @@
-package core
+package sched
 
 import (
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
-
-	"repro/internal/sched"
+	"time"
 )
 
 // schedPools returns the scheduler variants every contract test must
-// hold under: the legacy per-scan goroutines (nil) and a resident
-// shared pool (Options.Scheduler). The determinism contract — results
+// hold under: per-job goroutines (nil pool) and a resident shared pool
+// (core.Options.Scheduler). The determinism contract — results
 // adjudicated in submission order via per-job 1-buffered channels — is
 // identical in both modes, and these tests pin that.
-func schedPools(t *testing.T) map[string]*sched.Pool {
+func schedPools(t *testing.T) map[string]*Pool {
 	t.Helper()
-	p := sched.NewPool(2)
+	p := NewPool(2)
 	t.Cleanup(p.Close)
-	return map[string]*sched.Pool{"goroutines": nil, "pool": p}
+	return map[string]*Pool{"goroutines": nil, "pool": p}
 }
 
 // With a single scan worker the start sequence is exactly the feed
@@ -28,7 +28,7 @@ func TestScheduleOrderStartsJobsInGivenOrder(t *testing.T) {
 			order := []int{3, 1, 0, 2}
 			var mu sync.Mutex
 			var started []int
-			results, wait := scheduleOrder(pool, 1, 4, order, func(i int) int {
+			results, wait := Schedule(pool, 1, 4, order, func(i int) int {
 				mu.Lock()
 				started = append(started, i)
 				mu.Unlock()
@@ -49,13 +49,13 @@ func TestScheduleOrderStartsJobsInGivenOrder(t *testing.T) {
 	}
 }
 
-// Nil order is the identity: the legacy schedule contract.
+// Nil order is the identity.
 func TestScheduleIdentityOrder(t *testing.T) {
 	for name, pool := range schedPools(t) {
 		t.Run(name, func(t *testing.T) {
 			var mu sync.Mutex
 			var started []int
-			results, wait := schedule(pool, 1, 5, func(i int) int {
+			results, wait := Schedule(pool, 1, 5, nil, func(i int) int {
 				mu.Lock()
 				started = append(started, i)
 				mu.Unlock()
@@ -82,7 +82,7 @@ func TestScheduleDeliversAllJobs(t *testing.T) {
 	for name, pool := range schedPools(t) {
 		t.Run(name, func(t *testing.T) {
 			for _, workers := range []int{0, 1, 2, 7, 100} {
-				results, wait := schedule(pool, workers, 7, func(i int) int { return i + 1 })
+				results, wait := Schedule(pool, workers, 7, nil, func(i int) int { return i + 1 })
 				wait()
 				for i := 0; i < 7; i++ {
 					if got := <-results[i]; got != i+1 {
@@ -94,44 +94,49 @@ func TestScheduleDeliversAllJobs(t *testing.T) {
 	}
 }
 
-func TestLargestFirstOrder(t *testing.T) {
-	parts := []partition{{size: 5}, {size: 9}, {size: 5}, {size: 20}, {size: 1}}
-	want := []int{3, 1, 0, 2, 4} // ties (indices 0 and 2) keep index order
-	if got := largestFirst(parts); !reflect.DeepEqual(got, want) {
-		t.Errorf("largestFirst = %v, want %v", got, want)
-	}
-	if got := largestFirst(nil); len(got) != 0 {
-		t.Errorf("largestFirst(nil) = %v, want empty", got)
+// The workers argument bounds how many of the list's jobs run at once
+// in both modes: with a nil pool it is the only bound on the per-job
+// goroutines.
+func TestScheduleBoundsInFlight(t *testing.T) {
+	for name, pool := range schedPools(t) {
+		t.Run(name, func(t *testing.T) {
+			var running, peak atomic.Int32
+			release := make(chan struct{})
+			results, wait := Schedule(pool, 2, 6, nil, func(i int) int {
+				n := running.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				<-release
+				running.Add(-1)
+				return i
+			})
+			// Hold the first two jobs until both run, then give a third
+			// (wrongly admitted) job time to show up before releasing.
+			for running.Load() < 2 {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(20 * time.Millisecond)
+			close(release)
+			wait()
+			for i := range results {
+				<-results[i]
+			}
+			if p := peak.Load(); p != 2 {
+				t.Errorf("peak in-flight jobs = %d, want 2", p)
+			}
+		})
 	}
 }
 
-func TestPartitionSizeFloorsDegenerateFactors(t *testing.T) {
-	if got := partitionSize(0, 0, 0); got != 1 {
-		t.Errorf("partitionSize(0,0,0) = %d, want 1", got)
-	}
-	if got := partitionSize(10, 3, 2); got != 60 {
-		t.Errorf("partitionSize(10,3,2) = %d, want 60", got)
-	}
-	// An orphan-only partition (no candidates) still ranks below a real
-	// one over the same rows.
-	if partitionSize(10, 0, 1) >= partitionSize(10, 2, 1) {
-		t.Error("degenerate partition does not rank below a populated one")
-	}
-}
-
-// planPartitions must stamp every partition with a positive size
-// estimate consistent with the rows × candidates × complaints formula.
-func TestPlanPartitionsSizes(t *testing.T) {
-	d0, dirty, _, complaints := clusterWorkload(t, 3, 4)
-	parts := planFor(t, d0, dirty, complaints, nil)
-	if len(parts) != 3 {
-		t.Fatalf("planned %d partitions, want 3", len(parts))
-	}
-	rows := d0.Len() // the cluster workload neither inserts nor deletes
-	for i, p := range parts {
-		want := partitionSize(rows, len(p.candidates), len(p.complaintIdx))
-		if p.size != want || p.size <= 0 {
-			t.Errorf("partition %d: size = %d, want %d (>0)", i, p.size, want)
-		}
+// An empty job list returns at once.
+func TestScheduleEmpty(t *testing.T) {
+	for name, pool := range schedPools(t) {
+		t.Run(name, func(t *testing.T) {
+			results, wait := Schedule(pool, 4, 0, nil, func(int) int { return 0 })
+			wait()
+			if len(results) != 0 {
+				t.Errorf("len(results) = %d, want 0", len(results))
+			}
+		})
 	}
 }

@@ -31,9 +31,9 @@
 // belong to the same partition iff their relevant-query candidate sets
 // (derived from the full-impact analysis of Definition 7) intersect.
 // Solving runs each partition concurrently on a shared worker pool and
-// merges the per-partition repairs; Options.Parallel likewise scans
-// incremental batches concurrently. Parallel batch scanning picks the
-// exact repair the sequential scan would; partitioned diagnosis always
+// merges the per-partition repairs; Options.Parallel likewise solves
+// incremental batches concurrently. The Inc_k scan picks the same
+// repair at any Parallel setting; partitioned diagnosis always
 // returns a replay-verified repair and can resolve strictly more
 // instances than the joint path (see core.Options for the exact
 // guarantees).
